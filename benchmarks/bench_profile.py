@@ -27,14 +27,9 @@ Every future PR needs a trajectory to compare against: this harness runs
   (``RetryPolicy.off()``), on the same warm pool; the healing loop must
   cost at most **1.05x** (< 5% overhead) of fail-fast,
 
-* **E17** — the compiled kernel tier + binary wire format (PR 10): the
-  full pipeline on the ``kernel`` backend vs ``fast`` at n ∈ {10k, 100k}
-  (with numba jitting the kernels the top point must show **>= 3x**; in
-  NumPy-fallback mode the tiers run the same expressions, so the gate is
-  only that the kernel route does not regress), plus a serialization
-  microbench: zero-copy ``repro.io.wire.from_bytes`` ingestion vs JSON
-  parsing of the same instance must be **>= 10x** faster regardless of
-  kernel mode,
+* **E17** — the binary wire format (PR 10): a serialization microbench
+  at n ∈ {10k, 100k}; zero-copy ``repro.io.wire.from_bytes`` ingestion vs
+  JSON parsing of the same instance must be **>= 10x** faster,
 
 and writes everything as machine-readable JSON
 (``benchmarks/results/BENCH_PR10.json``) next to the human-readable
@@ -75,7 +70,6 @@ from repro.core.batch import stream_out
 from repro.core.pipeline import Pipeline
 from repro.io.serialization import cotree_from_json, cotree_to_json
 from repro.io.wire import from_bytes, to_bytes
-from repro.kernels import KERNELS
 
 from _util import RESULTS_DIR, write_result_table
 
@@ -152,19 +146,11 @@ SMOKE_E16_GRID = (800, 48, 32, 2)
 #: noisy baseline cannot make healthy runs fail).
 E16_FACTOR = 1.05
 
-#: the E17 compiled-kernel grid: (n, repeats) — the full pipeline on the
-#: kernel backend vs fast on the same pinned instance, plus a wire-vs-JSON
-#: ingestion microbench at the same sizes.
+#: the E17 wire-ingestion grid: (n, repeats) — wire bytes vs JSON text of
+#: the same pinned instance, each loaded into a pipeline-ready FlatCotree.
 FULL_E17_GRID = [(10_000, 5), (100_000, 3)]
 SMOKE_E17_GRID = [(10_000, 3)]
-#: the E17 headline bounds: with the kernels jitted, the top grid point
-#: must show >= 3x over fast; in fallback mode both tiers run the same
-#: NumPy expressions, so the gate is only "no regression" (>= 1/1.5x —
-#: kernel dispatch overhead must stay in the noise).  Wire ingestion must
-#: beat JSON parsing >= 10x in either mode.
-E17_SPEEDUP = 3.0
-E17_TOP_N = 100_000
-E17_FALLBACK_FLOOR = 1.0 / 1.5
+#: the E17 headline bound: wire ingestion must beat JSON parsing >= 10x.
 E17_WIRE_RATIO = 10.0
 
 SEED = 7
@@ -176,8 +162,7 @@ E13_COLUMNS = ["task", "instances", "max_n", "batch_s", "forest_s", "ratio"]
 MD_COLUMNS = ["family", "backend", "n", "md_build_s"] + list(MD_TASKS)
 E16_COLUMNS = ["instances", "max_n", "chunksize", "fail_fast_s",
                "healing_s", "overhead"]
-E17_COLUMNS = ["n", "mode", "fast_s", "kernel_s", "speedup",
-               "json_parse_s", "wire_load_s", "wire_ratio"]
+E17_COLUMNS = ["n", "json_parse_s", "wire_load_s", "wire_ratio"]
 
 
 def calibrate() -> float:
@@ -426,12 +411,7 @@ def run_e16(grid):
 
 
 def profile_e17(n: int, repeats: int):
-    """Best-of-``repeats`` seconds for one E17 point.
-
-    Pipeline half: the eight-stage pipeline end to end on ``fast`` vs
-    ``kernel`` over the same pinned instance, answers implicitly
-    cross-checked by the parity test suite (tests/test_kernel_backend.py)
-    — here only the clock matters.  Serialization half: ingestion to a
+    """Best-of-``repeats`` seconds for one E17 point: ingestion to a
     pipeline-ready :class:`FlatCotree` from a JSON document
     (``json.loads`` + ``cotree_from_json`` + flatten, the pre-PR-10
     server/stream route) vs the zero-copy ``wire.from_bytes`` on the same
@@ -453,9 +433,6 @@ def profile_e17(n: int, repeats: int):
                 gc.enable()
         return best
 
-    fast_best = timed_best(lambda: Pipeline.default().run(tree, "fast"))
-    kernel_best = timed_best(lambda: Pipeline.default().run(tree, "kernel"))
-
     json_text = json.dumps(cotree_to_json(nested))
     wire_buf = to_bytes(tree)
     json_best = timed_best(
@@ -463,10 +440,7 @@ def profile_e17(n: int, repeats: int):
         reps=max(repeats, 3))
     wire_best = timed_best(lambda: from_bytes(wire_buf),
                            reps=max(repeats, 3))
-    return {"n": n, "repeats": repeats, "kernel_mode": KERNELS.mode,
-            "fast_seconds": round(fast_best, 6),
-            "kernel_seconds": round(kernel_best, 6),
-            "speedup": round(fast_best / max(kernel_best, 1e-9), 2),
+    return {"n": n, "repeats": repeats,
             "json_parse_seconds": round(json_best, 6),
             "wire_load_seconds": round(wire_best, 9),
             "wire_ratio": round(json_best / max(wire_best, 1e-9), 1)}
@@ -477,35 +451,18 @@ def run_e17_grid(grid):
     for n, repeats in grid:
         results.append(profile_e17(n, repeats))
         r = results[-1]
-        print(f"  e17 n={n:>7} [{r['kernel_mode']}]: "
-              f"fast={r['fast_seconds']:.4f}s "
-              f"kernel={r['kernel_seconds']:.4f}s "
-              f"({r['speedup']:.2f}x) wire={r['wire_ratio']:.0f}x faster "
-              f"than JSON", flush=True)
+        print(f"  e17 n={n:>7}: json={r['json_parse_seconds']:.4f}s "
+              f"wire={r['wire_load_seconds']:.6f}s "
+              f"({r['wire_ratio']:.0f}x faster than JSON)", flush=True)
     return results
 
 
 def check_e17_bound(payload: dict) -> list:
-    """E17 acceptance: jit-mode kernels must hit ``E17_SPEEDUP`` at the top
-    grid point; fallback-mode kernels (the same NumPy expressions behind
-    the kernel table) must merely not regress past the dispatch-noise
-    floor; wire ingestion must beat JSON parsing by ``E17_WIRE_RATIO`` in
-    either mode.  All three are within-run ratios of same-machine timings,
-    so no baseline calibration applies."""
+    """E17 acceptance: wire ingestion must beat JSON parsing by
+    ``E17_WIRE_RATIO``.  A within-run ratio of same-machine timings, so no
+    baseline calibration applies."""
     failures = []
     for row in payload.get("e17_results", []):
-        if row["kernel_mode"] == "jit" and row["n"] >= E17_TOP_N \
-                and row["speedup"] < E17_SPEEDUP:
-            failures.append(
-                f"E17 kernel speedup {row['speedup']:.2f}x < "
-                f"{E17_SPEEDUP:.1f}x at n={row['n']} (jit mode: "
-                f"kernel {row['kernel_seconds']:.4f}s vs fast "
-                f"{row['fast_seconds']:.4f}s)")
-        if row["kernel_mode"] == "fallback" \
-                and row["speedup"] < E17_FALLBACK_FLOOR:
-            failures.append(
-                f"E17 fallback kernel regressed: {row['speedup']:.2f}x < "
-                f"{E17_FALLBACK_FLOOR:.2f}x at n={row['n']}")
         if row["wire_ratio"] < E17_WIRE_RATIO:
             failures.append(
                 f"E17 wire ingestion only {row['wire_ratio']:.1f}x faster "
@@ -668,20 +625,6 @@ def check_against(base: dict, current: dict, factor: float) -> int:
                     f"md {row['family']} {row['backend']} n={row['n']} "
                     f"task {task!r}: {sec:.4f}s > "
                     f"{factor:.1f} x {budget:.4f}s")
-    # E17: the kernel tier, when the baseline carries e17_results — plain
-    # budget rows (speedup/wire gates are within-run, handled below)
-    base_e17 = {r["n"]: r for r in base.get("e17_results", [])}
-    for row in current.get("e17_results", []):
-        ref = base_e17.get(row["n"])
-        if ref is None or ref["kernel_mode"] != row["kernel_mode"]:
-            continue
-        budget = max(ref["kernel_seconds"] * scale, floor)
-        compared += 1
-        if row["kernel_seconds"] > factor * budget:
-            failures.append(
-                f"e17 kernel n={row['n']} [{row['kernel_mode']}]: "
-                f"{row['kernel_seconds']:.4f}s > "
-                f"{factor:.1f} x {budget:.4f}s")
     failures += check_e12_bound(current, base, factor)
     failures += check_e15_bound(current, base)
     failures += check_e16_bound(current, base)
@@ -749,7 +692,7 @@ def main(argv=None) -> int:
     print(f"[E11] per-stage profile ({label}):")
     t0 = time.perf_counter()
     payload = {
-        "schema": 6,
+        "schema": 7,
         "experiment": "E11+E12+E13+E15+E16+E17",
         "version": __version__,
         "seed": SEED,
@@ -765,8 +708,7 @@ def main(argv=None) -> int:
     payload["md_results"] = run_md_grid(md_grid)
     print(f"[E16] healthy-path resilience overhead ({label}):")
     payload["e16_results"] = run_e16(e16_grid)
-    print(f"[E17] kernel tier + wire ingestion ({label}, "
-          f"kernels: {KERNELS.mode}):")
+    print(f"[E17] wire ingestion vs JSON parsing ({label}):")
     payload["e17_results"] = run_e17_grid(e17_grid)
     payload["harness_seconds"] = round(time.perf_counter() - t0, 3)
 
@@ -827,20 +769,14 @@ def main(argv=None) -> int:
                            "(RetryPolicy.off()) on the same warm 2-worker "
                            "pool, no fault armed (seconds, best of "
                            "repeats)", e16_rows, E16_COLUMNS)
-        e17_rows = [{"n": r["n"], "mode": r["kernel_mode"],
-                     "fast_s": round(r["fast_seconds"], 4),
-                     "kernel_s": round(r["kernel_seconds"], 4),
-                     "speedup": f"{r['speedup']:.2f}x",
+        e17_rows = [{"n": r["n"],
                      "json_parse_s": round(r["json_parse_seconds"], 4),
                      "wire_load_s": round(r["wire_load_seconds"], 6),
                      "wire_ratio": f"{r['wire_ratio']:.0f}x"}
                     for r in payload["e17_results"]]
-        write_result_table("E17", "compiled kernel tier vs the fast "
-                           "backend (full pipeline, same pinned instance) "
-                           "and zero-copy wire ingestion vs JSON parsing "
-                           "(seconds, best of repeats; mode = whether "
-                           "numba jitted the kernel table)",
-                           e17_rows, E17_COLUMNS)
+        write_result_table("E17", "zero-copy wire ingestion vs JSON "
+                           "parsing of the same pinned instance (seconds, "
+                           "best of repeats)", e17_rows, E17_COLUMNS)
 
     # E13 acceptance target: the full run must show >= 10x on every task
     # (the smoke run is gated relative to the stored baseline instead).
@@ -880,7 +816,7 @@ def main(argv=None) -> int:
     print(f"E16 bound OK: healthy-path healing overhead within "
           f"{E16_FACTOR:.2f}x of fail-fast")
     print(f"E17 bound OK: wire ingestion >= {E17_WIRE_RATIO:.0f}x JSON "
-          f"parsing (kernels: {KERNELS.mode})")
+          f"parsing")
     return rc
 
 

@@ -172,18 +172,12 @@ EXPERIMENTS: List[ExperimentSpec] = [
          "repro.server.app"),
         "benchmarks/bench_profile.py"),
     ExperimentSpec(
-        "E17", "compiled kernels + wire format (engineering)",
-        "The compiled kernel tier (backend='kernel': fused gather+reduce "
-        "level sweeps, jitted when numba is present, bit-identical NumPy "
-        "fallbacks otherwise) yields >= 3x over the fast backend at "
-        "n = 100k when jitted and never regresses in fallback mode; "
-        "zero-copy binary wire ingestion (repro.io.wire.from_bytes) is "
-        ">= 10x faster than JSON parsing of the same instance in either "
-        "mode.",
-        "pinned random cotrees, n = 10k / 100k, pipeline end to end on "
-        "fast vs kernel + ingestion-to-FlatCotree microbench",
-        ("repro.kernels", "repro.backends", "repro.io.wire",
-         "repro.core.dp"),
+        "E17", "wire format (engineering)",
+        "Zero-copy binary wire ingestion (repro.io.wire.from_bytes) is "
+        ">= 10x faster than JSON parsing of the same instance.",
+        "pinned random cotrees, n = 10k / 100k, ingestion-to-FlatCotree "
+        "microbench (wire bytes vs JSON text)",
+        ("repro.io.wire", "repro.io.serialization"),
         "benchmarks/bench_profile.py"),
     ExperimentSpec(
         "A1", "leftist condition (ablation)",

@@ -12,6 +12,7 @@ drop ``backend`` on the floor; now it raises :class:`ValueError`.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Optional, Tuple, Union
 
@@ -19,10 +20,14 @@ from ..backends import BACKEND_NAMES
 from ..pram import AccessMode
 from .cache import SolutionCache
 
-__all__ = ["SolveOptions", "METHOD_NAMES"]
+__all__ = ["SolveOptions", "METHOD_NAMES", "BACKEND_ALIASES"]
 
 #: the two algorithm families behind :func:`repro.api.solve`.
 METHOD_NAMES = ("parallel", "sequential")
+
+#: deprecated backend names and the backend each one now runs on; accepted
+#: for one release, normalised at construction with a DeprecationWarning
+BACKEND_ALIASES = {"kernel": "fast"}
 
 
 @dataclass(frozen=True)
@@ -38,7 +43,8 @@ class SolveOptions:
         execution backend for the parallel method: ``"pram"`` (simulate the
         paper's machine, with accounting and conflict checking), ``"fast"``
         (raw vectorized NumPy) or ``None`` (method default: ``"pram"``).
-        Must stay ``None`` for ``method="sequential"``.
+        Must stay ``None`` for ``method="sequential"``.  A deprecated name
+        from :data:`BACKEND_ALIASES` is replaced by its target.
     num_processors:
         PRAM processor count override (``backend="pram"`` only); ``None``
         means the paper's ``ceil(n / log2 n)``.
@@ -93,6 +99,13 @@ class SolveOptions:
         if self.method not in METHOD_NAMES:
             raise ValueError(f"unknown method {self.method!r}; "
                              f"use one of {METHOD_NAMES}")
+        if self.backend in BACKEND_ALIASES:
+            target = BACKEND_ALIASES[self.backend]
+            warnings.warn(f"backend={self.backend!r} is deprecated and runs "
+                          f"as backend={target!r}; it will be removed in "
+                          f"the next release", DeprecationWarning,
+                          stacklevel=3)
+            object.__setattr__(self, "backend", target)
         if self.backend is not None and self.backend not in BACKEND_NAMES:
             raise ValueError(f"unknown backend {self.backend!r}; "
                              f"use one of {tuple(BACKEND_NAMES)} or None")

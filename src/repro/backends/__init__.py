@@ -9,10 +9,7 @@ accounted*.  Every primitive and pipeline step is written against the
   EREW/CREW/CRCW access checking;
 * :class:`FastBackend` — the throughput path: pure vectorized NumPy with all
   accounting compiled away (steps are no-ops, primitives take direct
-  vectorized shortcuts);
-* :class:`KernelBackend` — the compiled tier: FastBackend semantics plus a
-  table of fused hot-loop kernels (numba-jitted when the optional
-  ``kernels`` extra is installed, exact NumPy fallbacks otherwise).
+  vectorized shortcuts).
 
 Use :func:`resolve_context` to coerce a caller-supplied value (``None``, a
 backend name, a raw machine, or a context) and :func:`make_backend` to build
@@ -27,14 +24,12 @@ from .base import (
     resolve_context,
 )
 from .fast_backend import FAST_BACKEND, FastArray, FastBackend
-from .kernel_backend import KernelBackend
 from .pram_backend import PRAMBackend
 
 __all__ = [
     "ExecutionContext",
     "PRAMBackend",
     "FastBackend",
-    "KernelBackend",
     "FastArray",
     "FAST_BACKEND",
     "resolve_context",

@@ -47,7 +47,6 @@ def binarize_parallel(ctx, tree: Union[Cotree, FlatCotree], *,
         the binarized cotree ``Tb(G)``.
     """
     machine = resolve_context(ctx)
-    kernels = getattr(machine, "kernels", None)
     flat = FlatCotree.from_cotree(tree)
     n_old = flat.num_nodes
     if flat.num_vertices == 0:
@@ -56,10 +55,7 @@ def binarize_parallel(ctx, tree: Union[Cotree, FlatCotree], *,
     kind_old = np.asarray(flat.kind, dtype=np.int64)
     child_count = flat.degrees()
     internal = kind_old != LEAF
-    # trusted internal routes (canonicalize output, wire loads with a
-    # verified checksum) set pre_validated: skip the full-array re-scan
-    if not getattr(flat, "pre_validated", False) \
-            and np.any(internal & (child_count < 2)):
+    if np.any(internal & (child_count < 2)):
         raise CotreeError("binarize_parallel requires every internal node to "
                           "have at least two children (canonicalize first)")
 
@@ -71,11 +67,8 @@ def binarize_parallel(ctx, tree: Union[Cotree, FlatCotree], *,
     child_index = flat.child_index
     # position among siblings: index within the CSR segment
     child_pos_of = np.zeros(n_old, dtype=np.int64)
-    if kernels is not None:
-        child_pos_of[child_index] = kernels.segment_arange(child_count)
-    else:
-        child_pos_of[child_index] = np.arange(total_children, dtype=np.int64) \
-            - np.repeat(child_offset, child_count)
+    child_pos_of[child_index] = np.arange(total_children, dtype=np.int64) \
+        - np.repeat(child_offset, child_count)
     with machine.step(active=max(1, len(child_index)), label=f"{label}:csr-fill"):
         pass  # the flattening above is one O(1)-depth scatter per child
 
@@ -129,26 +122,19 @@ def binarize_parallel(ctx, tree: Union[Cotree, FlatCotree], *,
         link_counts = np.maximum(child_count[internal_nodes] - 2, 0)
         if link_counts.sum():
             link_base = np.repeat(first_new_id[internal_nodes], link_counts)
-            if kernels is not None:
-                js = kernels.segment_arange(link_counts) + 1
-            else:
-                seg_start = np.repeat(np.cumsum(link_counts) - link_counts,
-                                      link_counts)
-                js = np.arange(int(link_counts.sum()), dtype=np.int64) - \
-                    seg_start + 1
+            seg_start = np.repeat(np.cumsum(link_counts) - link_counts,
+                                  link_counts)
+            js = np.arange(int(link_counts.sum()), dtype=np.int64) - \
+                seg_start + 1
             left_new[link_base + js] = link_base + js - 1
         chain_counts = (child_count - 1)[internal_nodes]
         kinds_chain = np.repeat(kind_old[internal_nodes], chain_counts)
         if internal_nodes.size:
             chain_base = np.repeat(first_new_id[internal_nodes], chain_counts)
-            if kernels is not None:
-                chain_ids = chain_base + kernels.segment_arange(chain_counts)
-            else:
-                chain_seg = np.repeat(np.cumsum(chain_counts) - chain_counts,
-                                      chain_counts)
-                chain_ids = chain_base + \
-                    np.arange(int(chain_counts.sum()),
-                              dtype=np.int64) - chain_seg
+            chain_seg = np.repeat(np.cumsum(chain_counts) - chain_counts,
+                                  chain_counts)
+            chain_ids = chain_base + \
+                np.arange(int(chain_counts.sum()), dtype=np.int64) - chain_seg
         else:
             chain_ids = np.empty(0, dtype=np.int64)
         kind_new[chain_ids] = kinds_chain.astype(np.int8)

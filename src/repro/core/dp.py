@@ -273,11 +273,6 @@ def _segmented_reduce(ctx: ExecutionContext, values: np.ndarray,
     """
     ufunc = _REDUCE_UFUNCS[op]
     if not ctx.simulates:
-        kernels = getattr(ctx, "kernels", None)
-        if kernels is not None and values.dtype != object:
-            # compiled tier (KernelBackend): one fused pass per segment —
-            # reduceat semantics, so fallback mode is bit-identical
-            return kernels.segment_reduce(values, seg_offsets, op)
         return ufunc.reduceat(values, seg_offsets[:-1])
     counts = np.diff(seg_offsets)
     buf = values.copy()
@@ -299,29 +294,15 @@ def _combine_level(ctx: ExecutionContext, dp: CotreeDP, flat: FlatCotree,
                    values: Dict[str, np.ndarray], nodes: np.ndarray,
                    combine: Combine, label: str) -> None:
     """Apply one :class:`Combine` to all same-kind nodes of one level."""
-    kernels = getattr(ctx, "kernels", None)
-    if (kernels is not None and combine.prepare is None
-            and all(values[src].dtype != object
-                    for _out, _op, src in combine.reduce)):
-        # fully fused level sweep (KernelBackend, prepare-free combines):
-        # gather + segmented reduce collapse into one pass per output field,
-        # with no child-position arithmetic and no gathered temporaries
-        reduced = {
-            out: kernels.level_gather_reduce(values[src], flat.child_offset,
-                                             flat.child_index, nodes, op)
-            for out, op, src in combine.reduce
-        }
-    else:
-        child_nodes, seg_offsets = _gather_level_children(flat, nodes)
-        child_values = {f: values[f][child_nodes] for f in dp.fields}
-        if combine.prepare is not None:
-            with ctx.step(active=len(child_nodes), label=f"{label}:prepare"):
-                child_values.update(combine.prepare(child_values))
-        reduced = {
-            out: _segmented_reduce(ctx, child_values[src], seg_offsets, op,
-                                   label)
-            for out, op, src in combine.reduce
-        }
+    child_nodes, seg_offsets = _gather_level_children(flat, nodes)
+    child_values = {f: values[f][child_nodes] for f in dp.fields}
+    if combine.prepare is not None:
+        with ctx.step(active=len(child_nodes), label=f"{label}:prepare"):
+            child_values.update(combine.prepare(child_values))
+    reduced = {
+        out: _segmented_reduce(ctx, child_values[src], seg_offsets, op, label)
+        for out, op, src in combine.reduce
+    }
     if combine.finish is not None:
         with ctx.step(active=len(nodes), label=f"{label}:finish"):
             reduced = combine.finish(reduced)

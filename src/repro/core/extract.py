@@ -48,13 +48,9 @@ def extract_paths(ctx, forest: PathForest, *,
     starts = prefix_sum(machine, sizes, inclusive=False,
                         label=f"{label}.starts")
 
-    kernels = getattr(machine, "kernels", None)
     with machine.step(active=num_real, label=f"{label}:permute"):
-        if kernels is not None:
-            order = kernels.invert_permutation(inorder)
-        else:
-            order = np.empty(num_real, dtype=np.int64)
-            order[inorder] = np.arange(num_real)
+        order = np.empty(num_real, dtype=np.int64)
+        order[inorder] = np.arange(num_real)
 
     # materialise the cover with C-level slicing: one tolist for the whole
     # permutation, then per-path list slices (no per-node Python work)

@@ -208,9 +208,23 @@ def legalize_forest(ctx, forest: PathForest,
         return out
 
     pos = inorder[movable]
+    is_insert = node_class[movable] == VertexClass.INSERT
     with machine.step(active=len(movable), label=f"{label}:check"):
-        prev_nb = real_neighbour(pos, True)
-        next_nb = real_neighbour(pos, False)
+        # an insert is judged by its own inorder neighbours.  A dummy leaves
+        # its slot together with its subtree, so the slot is judged by the
+        # real nodes just outside that subtree: a neighbour inside it would
+        # travel along and not stay beside the insert that moves in.
+        size = numbers.subtree_size
+
+        def child_size(child: np.ndarray) -> np.ndarray:
+            return np.where(child != -1, size[np.maximum(child, 0)], 0)
+
+        first = np.where(is_insert, pos,
+                         pos - child_size(forest.left[movable]))
+        last = np.where(is_insert, pos,
+                        pos + child_size(forest.right[movable]))
+        prev_nb = real_neighbour(first, True)
+        next_nb = real_neighbour(last, False)
 
         def is_bad(nb):
             bad = np.zeros(len(movable), dtype=bool)
@@ -221,7 +235,6 @@ def legalize_forest(ctx, forest: PathForest,
 
         illegal = is_bad(prev_nb) | is_bad(next_nb)
 
-    is_insert = node_class[movable] == VertexClass.INSERT
     illegal_inserts = movable[illegal & is_insert]
     legal_dummies = movable[(~illegal) & (~is_insert)]
 

@@ -11,9 +11,7 @@ stop paying JSON/text parsing entirely:
   first (so every one stays 8-byte aligned), ``int8`` arrays last;
 * :func:`from_bytes` is **zero-copy**: after validating the header (magic,
   byte-order mark, version, CRC-32, exact total length) every array is an
-  ``np.frombuffer`` view into the caller's buffer — no parse, no copy.
-  Loads that pass the CRC are marked ``pre_validated`` so trusted pipeline
-  stages skip their redundant re-validation scans;
+  ``np.frombuffer`` view into the caller's buffer — no parse, no copy;
 * :func:`save` / :func:`load` move trees through files, with ``load``
   memory-mapping by default (the OS pages the arrays in lazily);
 * :func:`frame` / :func:`read_frames` wrap payloads in ``u32``
@@ -226,9 +224,6 @@ def from_bytes(buf) -> WireTree:
     if n and (int(out.child_offset[0]) != 0
               or int(out.child_offset[-1]) != e):
         raise _fail("child_offset does not span the child_index array")
-    # integrity verified (CRC + exact lengths): trusted stages may skip
-    # their redundant re-validation
-    out.pre_validated = True
     return out
 
 

@@ -329,12 +329,10 @@ class ServerApp:
                         "summary": TASKS[name].summary}
                  for name in task_names()}
         from ..backends import BACKEND_NAMES
-        from ..kernels import kernel_status
         return {
             "status": "draining" if self._draining else "ok",
             "version": __version__,
-            "backends": {"available": list(BACKEND_NAMES),
-                         "kernel": kernel_status()},
+            "backends": {"available": list(BACKEND_NAMES)},
             "tasks": tasks,
             "jobs": self.pool.jobs,
             "queue": {"limit": self.settings.queue_limit,

@@ -235,18 +235,21 @@ def test_version_flag_prints_the_package_version(capsys):
         main(["--version"])
     assert excinfo.value.code == 0
     out = capsys.readouterr().out.strip()
-    # "repro 1.9.0 (backends: pram, fast, kernel[jit|fallback])" — the
-    # suffix reports which kernel tier the numba probe selected
-    assert out.startswith(f"repro {__version__} (backends: pram, fast, "
-                          "kernel[")
-    assert out.endswith("])")
+    assert out == f"repro {__version__} (backends: pram, fast)"
 
 
 def test_version_subcommand_matches_the_flag(capsys):
     from repro._version import __version__
     assert main(["version"]) == 0
     out = capsys.readouterr().out.strip()
-    assert out.startswith(f"repro {__version__} (backends: ")
+    assert out == f"repro {__version__} (backends: pram, fast)"
+
+
+def test_cli_accepts_the_deprecated_kernel_backend(capsys):
+    with pytest.warns(DeprecationWarning, match="deprecated"):
+        assert main(["solve", "(0 + (1 * 2))", "--backend", "kernel",
+                     "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["backend"] == "fast"
 
 
 def test_stream_on_error_emit_interleaves_error_records(monkeypatch,

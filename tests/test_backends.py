@@ -1,9 +1,16 @@
 """Backend layer tests: context resolution, primitive parity, end-to-end
-cover parity across PRAM / fast / sequential, the named-stage pipeline, and
-the batch API."""
+cover parity across PRAM / fast / sequential, task parity across PRAM /
+fast for every registered task, the deprecated backend alias, the
+named-stage pipeline, and the batch API."""
+
+import warnings
 
 import numpy as np
 import pytest
+
+from repro.api import SolutionCache, SolveOptions, as_problem, solve, task_names
+from repro.api.options import BACKEND_ALIASES
+from repro.api.registry import TASKS
 
 from repro.backends import (
     BACKEND_NAMES,
@@ -96,7 +103,7 @@ class TestContextResolution:
         assert FastBackend().machine is None
         assert FastBackend().report() is None
         assert isinstance(PRAMBackend(), ExecutionContext)
-        assert set(BACKEND_NAMES) == {"pram", "fast", "kernel"}
+        assert BACKEND_NAMES == ("pram", "fast")
 
     def test_pram_backend_for_input_size(self):
         ctx = PRAMBackend.for_input_size(1024)
@@ -227,6 +234,72 @@ class TestEndToEndParity:
         for backend in BACKEND_NAMES:
             result = minimum_path_cover_parallel(tree, backend=backend)
             assert result.cover.paths == [[0]]
+
+
+def _task_instances():
+    yield "caterpillar", caterpillar_cotree(30)
+    yield "balanced", balanced_cotree(2, 5)
+    yield "clique", clique(9)
+    yield "independent", independent_set(7)
+    yield "threshold", threshold_cograph([1, 0, 1, 1, 0, 0, 1])
+    for seed in range(3):
+        yield f"random-{seed}", random_cotree(40, seed=seed)
+
+
+def _task_answer(problem, task, backend):
+    extra = {}
+    if TASKS[task].uses_weights:
+        extra["weights"] = [(i * 7 + 3) % 11
+                            for i in range(problem.num_vertices)]
+    return solve(problem, task,
+                 options=SolveOptions(backend=backend, **extra)).answer
+
+
+class TestTaskParity:
+    """fast == pram on every registered task that runs on a backend
+    (``recognition`` never touches one), over the generator families."""
+
+    @pytest.mark.parametrize("task", [t for t in task_names()
+                                      if TASKS[t].input_kind == "cotree"
+                                      and t != "recognition"])
+    def test_every_cotree_task_every_family(self, task):
+        for label, tree in _task_instances():
+            assert (_task_answer(tree, task, "fast")
+                    == _task_answer(tree, task, "pram")), (task, label)
+
+    def test_bits_task(self):
+        bits = [1, 0, 1, 1, 0]
+        assert (solve(bits, "lower_bound", backend="fast").answer
+                == solve(bits, "lower_bound", backend="pram").answer)
+
+
+class TestDeprecatedAlias:
+    def test_kernel_alias_runs_on_fast(self):
+        assert BACKEND_ALIASES == {"kernel": "fast"}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            options = SolveOptions(backend="kernel")
+        assert [w.category for w in caught] == [DeprecationWarning]
+        assert "deprecated" in str(caught[0].message)
+        assert options == SolveOptions(backend="fast")
+        tree = random_cotree(20, seed=1)
+        sol = solve(tree, "path_cover_size", options=options)
+        assert sol.backend == "fast"
+        assert sol.to_json_dict()["options"]["backend"] == "fast"
+        cache = SolutionCache()
+        problem = as_problem(tree)
+        assert (cache.key_for(problem, "path_cover_size", options)
+                == cache.key_for(problem, "path_cover_size",
+                                 SolveOptions(backend="fast")))
+
+    def test_alias_keeps_the_fast_knob_checks(self):
+        with pytest.warns(DeprecationWarning), \
+                pytest.raises(ValueError, match="PRAM-only"):
+            SolveOptions(backend="kernel", num_processors=4)
+
+    def test_alias_is_not_a_backend(self):
+        with pytest.raises(ValueError):
+            make_backend("kernel")
 
 
 class TestPipeline:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.api import solve, solve_forest
 from repro.cograph import (
+    CographAdjacencyOracle,
     Graph,
     JOIN,
     LEAF,
@@ -15,6 +17,7 @@ from repro.cograph import (
     join_cotrees,
     join_of_independent_sets,
     make_leftist,
+    minimum_path_cover_size,
     path_cover_sizes_per_node,
     random_cotree,
     single_vertex,
@@ -32,6 +35,7 @@ from repro.core import (
     remove_dummies,
     render_brackets,
 )
+from repro.io import cotree_from_text
 from repro.pram import PRAM, AccessMode
 
 
@@ -277,3 +281,34 @@ class TestSteps5to7Forest:
         t = random_cotree(80, seed=15, join_prob=0.3)
         red, seq, forest, nex = pipeline_to(t, "legal")
         assert 0 <= nex <= seq.num_dummies
+
+
+#: A dummy's nearest real inorder neighbours can lie inside its own right
+#: subtree, which leaves with it in the exchange.  Judged by those, d11 of
+#: owner 37 looked legal; insert 4 was swapped into its slot and landed
+#: beside bridge 6 of its own 1-node, so the cover stepped from 4 to the
+#: non-adjacent 6.
+SWAP_INTO_OWN_BRIDGE = (
+    "(((3 * 7 * 34) + 17 + 22 + 1) * (((13 + 18 + 21 + 25) * "
+    "(23 + 35 + 2 + 36 + 16) * 24 * 26) + (((11 * 28) + (15 * 14) + 9 + 27)"
+    " * (20 + 0 + 6 + 8 + 4)) + 30 + 32) * ((31 * 29) + 19 + 12 + 33 + 10 "
+    "+ 5))")
+
+
+class TestLegalDummyChoice:
+    def _validate(self, cover):
+        tree = cotree_from_text(SWAP_INTO_OWN_BRIDGE)
+        cover.validate(CographAdjacencyOracle(tree),
+                       expected_num_vertices=37,
+                       expected_num_paths=minimum_path_cover_size(tree))
+
+    @pytest.mark.parametrize("backend", ["fast", "pram"])
+    def test_cover_is_valid(self, backend):
+        self._validate(solve(SWAP_INTO_OWN_BRIDGE, "path_cover",
+                             backend=backend).cover)
+
+    def test_cover_is_valid_in_a_forest_batch(self):
+        batch = solve_forest(["(0 * 1)", SWAP_INTO_OWN_BRIDGE, "(0 + 1)"],
+                             "path_cover", backend="fast")
+        assert batch[1].provenance["route"] == "forest"
+        self._validate(batch[1].cover)

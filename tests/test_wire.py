@@ -19,6 +19,7 @@ import pytest
 
 from repro.api import as_problem, solve
 from repro.cograph import (
+    CotreeError,
     FlatCotree,
     FlatForest,
     as_flat_cotree,
@@ -30,6 +31,7 @@ from repro.cograph import (
     single_vertex,
     unpack,
 )
+from repro.cograph.cotree import JOIN, LEAF, UNION
 from repro.io import cotree_to_text
 from repro.io.wire import (
     HEADER_SIZE,
@@ -122,7 +124,6 @@ class TestRoundTrip:
         for arr in (back.child_offset, back.child_index, back.kind):
             assert arr.base is not None          # a view, not a copy
             assert not arr.flags.writeable       # bytes is read-only
-        assert back.pre_validated is True
 
     def test_accepts_bytearray_and_memoryview(self):
         tree = as_flat_cotree(random_cotree(30, seed=1))
@@ -256,7 +257,6 @@ class TestFiles:
         assert load(path, mmap=False) == tree
         mapped = load(path)              # mmap=True is the default
         assert mapped == tree
-        assert mapped.pre_validated is True
 
     def test_constants_are_stable(self):
         # the on-disk contract: changing any of these is a format break
@@ -285,3 +285,17 @@ class TestIngestion:
     def test_corrupt_bytes_surface_as_value_error(self):
         with pytest.raises(ValueError, match="invalid wire buffer"):
             as_problem(b"not a wire buffer at all")
+
+    @pytest.mark.parametrize("backend", ["fast", "pram"])
+    def test_one_child_internal_node_is_rejected_like_a_direct_tree(
+            self, backend):
+        # JOIN(UNION(v0), v1): the UNION node has a single child.  A wire
+        # load earns no trust from its header CRC, so the bytes get the
+        # same CotreeError as the FlatCotree passed directly.
+        tree = FlatCotree(kind=[JOIN, UNION, LEAF, LEAF],
+                          child_offset=[0, 2, 3, 3, 3], child_index=[1, 3, 2],
+                          parent=[-1, 0, 1, 0], leaf_vertex=[-1, -1, 0, 1],
+                          root=0)
+        for source in (tree, to_bytes(tree)):
+            with pytest.raises(CotreeError, match="at least two children"):
+                solve(source, "path_cover", backend=backend)
